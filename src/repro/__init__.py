@@ -31,12 +31,11 @@ the build if they reach deeper.  Adding a name here is an API commitment;
 removing one is a breaking change.
 """
 
-from repro.backends import EvalBackend, backend_unavailable_reason, list_backends
+from repro.backends import EvalBackend, list_backends
 from repro.core.config import CACHE_COST, CACHE_LRU, EiresConfig
 from repro.core.framework import EIRES
 from repro.core.multi import MultiQueryEIRES, QuerySpec
-from repro.core.pipeline import RunResult
-from repro.runtime import RuntimeBuilder
+from repro.runtime import RunResult, RuntimeBuilder
 from repro.engine.engine import GREEDY, NON_GREEDY
 from repro.events.event import Event, EventSchema
 from repro.events.stream import Stream
@@ -70,7 +69,6 @@ __all__ = [
     "NON_GREEDY",
     "EvalBackend",
     "list_backends",
-    "backend_unavailable_reason",
     "CACHE_LRU",
     "CACHE_COST",
     "Event",

@@ -6,8 +6,9 @@ Three registries anchor the observability and extension contracts:
   validator, the replay tooling, and the docs tables all key on them;
 * **metric names** — the ``*_METRIC`` string constants passed to the
   registry factories (``counter``/``gauge``/``histogram``);
-* **backend names / shedding policies** — ``register_backend(...)`` in
-  ``backends/`` and the ``SHED_POLICIES`` table in ``shedding/policy.py``.
+* **backend names / shedding policies** — the ``BACKENDS`` /
+  ``BACKEND_ALIASES`` tables in ``backends/__init__.py`` and the
+  ``SHED_POLICIES`` table in ``shedding/policy.py``.
 
 Rule **R1** checks the *code* level: every ``tracer.emit`` category
 constant must canonicalise to the defining trace module (a locally minted
@@ -35,6 +36,7 @@ __all__ = ["ContractAnalysis", "contract_analysis"]
 TRACE_MODULE = "obs/trace.py"
 TRACE_DOTTED = "repro.obs.trace"
 POLICY_MODULE = "shedding/policy.py"
+BACKENDS_MODULE = "backends/__init__.py"
 
 #: Defining modules are exempt from R1's own checks: they *are* the registry.
 DEFINING_MODULES = ("obs/trace.py", "obs/registry.py")
@@ -66,17 +68,6 @@ class ContractAnalysis:
                     self.metric_constants[name] = (
                         module.rel, value, module.constant_lines.get(name, 1)
                     )
-        #: backend registrations across the index.
-        self.registrations: list[tuple[Module, dict]] = [
-            (module, reg) for module in index for reg in module.registrations
-        ]
-        #: shedding policy names from the SHED_POLICIES table.
-        policy = index.module_by_pkg(POLICY_MODULE)
-        self.policies: tuple[str, ...] | None = None
-        if policy is not None:
-            table = policy.constants.get("SHED_POLICIES")
-            if isinstance(table, tuple):
-                self.policies = table
         self._docs: dict[str, str | None] = {}
 
     # -- R1: code-level drift -------------------------------------------------
@@ -134,27 +125,33 @@ class ContractAnalysis:
     def _documented(text: str, value: str) -> bool:
         return f"`{value}`" in text
 
-    def undocumented_backends(self) -> list[tuple[Module, int, str]]:
-        text = self._doc_text(DOCS_BACKENDS)
-        if text is None:
+    def _undocumented_keys(
+        self, doc: str, pkg: str, tables: tuple[str, ...]
+    ) -> list[tuple[Module, int, str]]:
+        """Keys of ``pkg``'s dict-literal ``tables`` missing from ``doc``."""
+        text = self._doc_text(doc)
+        module = self.index.module_by_pkg(pkg)
+        if text is None or module is None:
             return []
         out = []
-        for module, reg in self.registrations:
-            for name in [reg["name"], *reg["aliases"]]:
-                if not self._documented(text, name):
-                    out.append((module, reg["line"], name))
+        for table in tables:
+            names = module.constants.get(table)
+            if not isinstance(names, tuple):
+                continue
+            line = module.constant_lines.get(table, 1)
+            out.extend(
+                (module, line, name) for name in names
+                if not self._documented(text, name)
+            )
         return out
 
+    def undocumented_backends(self) -> list[tuple[Module, int, str]]:
+        return self._undocumented_keys(
+            DOCS_BACKENDS, BACKENDS_MODULE, ("BACKENDS", "BACKEND_ALIASES")
+        )
+
     def undocumented_policies(self) -> list[tuple[Module, int, str]]:
-        text = self._doc_text(DOCS_SHEDDING)
-        policy = self.index.module_by_pkg(POLICY_MODULE)
-        if text is None or self.policies is None or policy is None:
-            return []
-        line = policy.constant_lines.get("SHED_POLICIES", 1)
-        return [
-            (policy, line, name) for name in self.policies
-            if not self._documented(text, name)
-        ]
+        return self._undocumented_keys(DOCS_SHEDDING, POLICY_MODULE, ("SHED_POLICIES",))
 
     def undocumented_categories(self) -> list[tuple[Module, int, str]]:
         text = self._doc_text(DOCS_OBSERVABILITY)

@@ -58,15 +58,12 @@ SHEDDING_CONSTRUCTORS = ("LoadShedder", "OverloadDetector", "make_shedding_polic
 SHEDDING_PACKAGE = "shedding/"
 
 # A6: evaluation-backend construction entry points, callable only by the
-# composition root and inside the backends package; and the single module
-# allowed to import NumPy.
+# composition root and inside the backends package.
 BACKEND_CONSTRUCTORS = (
     "Engine",
     "TreeEngine",
     "ReferenceBackend",
     "TreeBackend",
-    "VectorizedBackend",
-    "make_backend",
     "get_backend",
 )
 BACKEND_DEFINING_MODULES = {
@@ -74,7 +71,6 @@ BACKEND_DEFINING_MODULES = {
     "TreeEngine": ("engine/tree.py",),
 }
 BACKEND_PACKAGE = "backends/"
-NUMPY_ALLOWED_MODULE = "backends/vectorized.py"
 
 # A7: the serving plane's internals, constructed only inside repro.serving
 # itself — everything else composes fleets via FleetBuilder.
@@ -218,34 +214,19 @@ byte-identical to a build without the plane)."""
 @register
 class BackendCompositionRule(Rule):
     id = "A6"
-    title = "backends built only via the registry; NumPy confined to vectorized"
+    title = "backends built only via the registry"
     explain = """\
 Which engine evaluates a query decides cost accounting, capability limits,
 and byte-identity guarantees, so it must be chosen in exactly one place.
 Only repro.runtime (the composition root) and repro.backends itself may
 construct evaluation engines — Engine, TreeEngine, the registered backend
-classes, or the make_backend/get_backend registry entry points.  Everything
-else, benchmarks included, names a backend in its QuerySpec (or
---engine-backend) and receives an assembled session from RuntimeBuilder, so
-capability checks and the RunResult backend stamp cannot be bypassed.
-
-NumPy is an optional dependency serving exactly one purpose: batch guard
-evaluation inside backends/vectorized.py.  Importing it anywhere else would
-silently make core behaviour depend on an extra that plain installs (and
-the REPRO_DISABLE_NUMPY CI leg) do not have.  Fix by moving the numeric
-kernel into the vectorized backend or writing it dependency-free."""
+classes, or the get_backend registry entry point.  Everything else,
+benchmarks included, names a backend in its QuerySpec (or --engine-backend)
+and receives an assembled session from RuntimeBuilder, so capability checks
+and the RunResult backend stamp cannot be bypassed."""
 
     def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
         pkg = module.pkg
-        if pkg != NUMPY_ALLOWED_MODULE:
-            for name, line in module.imports:
-                if name == "numpy" or name.startswith("numpy."):
-                    yield self.finding(
-                        module, line,
-                        "numpy imported outside backends/vectorized.py; the "
-                        "[vector] extra must stay confined to the vectorized "
-                        "backend",
-                    )
         if pkg is not None and pkg.startswith((COMPOSITION_ROOT, BACKEND_PACKAGE)):
             return
         for name, line in module.constructed:

@@ -81,17 +81,17 @@ class DocsDriftRule(Rule):
 Whole-program cross-check of the extension registries against the docs
 tables operators read:
 
-* every `register_backend("name", aliases=...)` name and alias must appear
-  backticked in docs/backends.md;
+* every backend name and alias — the keys of BACKENDS and BACKEND_ALIASES
+  in backends/__init__.py — must appear backticked in docs/backends.md;
 * every shedding policy key in SHED_POLICIES must appear in
   docs/shedding.md;
 * every CAT_* category value in repro.obs.trace must appear in
   docs/observability.md.
 
-Findings anchor at the registration / constant-definition line.  When the
+Findings anchor at the table / constant-definition line.  When the
 docs tree is absent (fixture runs, scratch trees) the rule is inert.  Fix
-by documenting the new name in its table — or deleting a registration
-that should not exist."""
+by documenting the new name in its table — or deleting a table row that
+should not exist."""
 
     def check(self, module: Module, index: ModuleIndex) -> Iterator[Finding]:
         engine = contract_analysis(index)

@@ -1,67 +1,83 @@
 """Evaluation backends: pluggable engines behind the :class:`EvalBackend` interface.
 
-Importing this package populates the registry.  The ``reference`` and
-``tree`` backends always register; the ``vectorized`` backend needs NumPy
-(the ``[vector]`` optional extra) and registers *conditionally* — when the
-import fails (or is suppressed via ``REPRO_DISABLE_NUMPY=1``, the knob CI
-uses to prove the NumPy-free path) the name is marked unavailable with a
-reason, which surfaces as a clean CLI error and a pytest skip message
-instead of an ``ImportError``.
+The registry is one module-level table, :data:`BACKENDS`, shaped like the
+shedding-policy table (:data:`repro.shedding.policy.SHED_POLICIES`): canonical
+name to implementation, plus :data:`BACKEND_ALIASES` for alternate
+spellings.  Lookups go through :func:`resolve_backend` / :func:`get_backend`,
+and unknown names fail with the full catalogue.  Adding a backend means one
+row here and one row in ``docs/backends.md`` (analysis rule R2 checks the
+second).
+
+Only :mod:`repro.runtime` (the composition root) and this package may call
+:func:`get_backend` — analysis rule A6 enforces it — so which engine
+evaluates a query is decided in exactly one place.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
 
-from repro.backends.base import (
-    BackendCapabilities,
-    BackendCapabilityError,
-    BackendListing,
-    BackendUnavailableError,
-    EvalBackend,
-    backend_names,
-    backend_unavailable_reason,
-    get_backend,
-    list_backends,
-    make_backend,
-    mark_backend_unavailable,
-    register_backend,
-    resolve_backend,
-)
+from repro.backends.base import BackendCapabilities, BackendCapabilityError, EvalBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.tree import TreeBackend
 
 __all__ = [
+    "BACKENDS",
+    "BACKEND_ALIASES",
     "BackendCapabilities",
     "BackendCapabilityError",
     "BackendListing",
-    "BackendUnavailableError",
     "EvalBackend",
     "ReferenceBackend",
     "TreeBackend",
-    "backend_names",
-    "backend_unavailable_reason",
     "get_backend",
     "list_backends",
-    "make_backend",
-    "mark_backend_unavailable",
-    "register_backend",
     "resolve_backend",
 ]
 
-_VECTOR_HINT = (
-    "the vectorized backend needs NumPy — install the [vector] extra "
-    "(pip install 'eires-repro[vector]')"
-)
+BACKENDS: dict[str, type[EvalBackend]] = {
+    "reference": ReferenceBackend,
+    "tree": TreeBackend,
+}
 
-if os.environ.get("REPRO_DISABLE_NUMPY"):
-    mark_backend_unavailable(
-        "vectorized", f"disabled by REPRO_DISABLE_NUMPY; {_VECTOR_HINT}"
-    )
-else:
-    try:
-        from repro.backends.vectorized import VectorizedBackend  # noqa: F401
+#: Alternate name -> canonical name.
+BACKEND_ALIASES = {"automaton": "reference"}
 
-        __all__.append("VectorizedBackend")
-    except ImportError:
-        mark_backend_unavailable("vectorized", _VECTOR_HINT)
+
+@dataclass(frozen=True)
+class BackendListing:
+    """One row of :func:`list_backends` — registry metadata, no classes."""
+
+    name: str
+    aliases: tuple[str, ...]
+    capabilities: BackendCapabilities
+    description: str
+
+
+def resolve_backend(name: str) -> str:
+    """The canonical name for ``name``; ``ValueError`` for unknown names."""
+    canonical = BACKEND_ALIASES.get(name, name)
+    if canonical in BACKENDS:
+        return canonical
+    catalogue = ", ".join(sorted(BACKENDS))
+    raise ValueError(f"unknown backend {name!r}; registered backends: {catalogue}")
+
+
+def get_backend(name: str) -> type[EvalBackend]:
+    """The backend class for ``name`` (composition-root entry point, A6)."""
+    return BACKENDS[resolve_backend(name)]
+
+
+def list_backends() -> list[BackendListing]:
+    """Every registered backend as a metadata row, sorted by name."""
+    return [
+        BackendListing(
+            name=name,
+            aliases=tuple(sorted(
+                alias for alias, target in BACKEND_ALIASES.items() if target == name
+            )),
+            capabilities=cls.capabilities,
+            description=cls.description,
+        )
+        for name, cls in sorted(BACKENDS.items())
+    ]

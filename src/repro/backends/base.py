@@ -1,4 +1,4 @@
-"""The evaluation-backend registry: pluggable engines behind one interface.
+"""The evaluation-backend interface: pluggable engines behind one seam.
 
 Kolchinsky & Schuster (arXiv 1801.09413) argue that CEP query *semantics*
 should be independent of the evaluation *mechanism*, so mechanisms can be
@@ -6,30 +6,15 @@ swapped and compared under one cost model.  This module is that separation
 for the reproduction: an :class:`EvalBackend` is any engine that can play
 the ``f_Q`` role in the dispatch loop — consume one input event, advance the
 virtual clock by the declared costs, and produce
-:class:`~repro.engine.interface.MatchRecord` objects — and the registry maps
-backend names to implementations the composition root
-(:class:`~repro.runtime.builder.RuntimeBuilder`) instantiates.
+:class:`~repro.engine.interface.MatchRecord` objects.  The registry table
+that maps backend names to implementations lives in :mod:`repro.backends`.
 
-The registry mirrors the shedding-policy registry
-(:mod:`repro.shedding.policy`): implementations self-register under a
-canonical name (plus optional aliases) via :func:`register_backend`, lookups
-go through :func:`get_backend` / :func:`make_backend`, and unknown names
-fail with the full catalogue.  Unlike shedding policies, backends differ in
-*capability*: the tree engine implements only the greedy selection policy
-and exposes no shedding surface.  Those limits are declared as
-:class:`BackendCapabilities` flags, and the builder checks them generically
-through :meth:`EvalBackend.require` — one error-message format for every
-policy/shedding/obligation mismatch, instead of scattered ``ValueError``\\ s.
-
-Backends that need an optional dependency (the ``vectorized`` backend needs
-NumPy) register *conditionally*: when the import fails, the package marks
-the name unavailable with a reason via :func:`mark_backend_unavailable`, so
-``--engine-backend vectorized`` produces an actionable error and the
-conformance suite can skip with the same message.
-
-Only :mod:`repro.runtime` (the composition root) and this package may call
-:func:`get_backend` / :func:`make_backend` — analysis rule A6 enforces it —
-so which engine evaluates a query is decided in exactly one place.
+Backends differ in *capability*: the tree engine implements only the greedy
+selection policy and exposes no shedding surface.  Those limits are declared
+as :class:`BackendCapabilities` flags, and the builder checks them
+generically through :meth:`BackendCapabilities.require` — one error-message
+format for every policy/shedding/obligation mismatch, instead of scattered
+``ValueError``\\ s.
 """
 
 from __future__ import annotations
@@ -49,22 +34,8 @@ if TYPE_CHECKING:
 __all__ = [
     "BackendCapabilities",
     "BackendCapabilityError",
-    "BackendListing",
-    "BackendUnavailableError",
     "EvalBackend",
-    "backend_names",
-    "backend_unavailable_reason",
-    "get_backend",
-    "list_backends",
-    "make_backend",
-    "mark_backend_unavailable",
-    "register_backend",
-    "resolve_backend",
 ]
-
-
-class BackendUnavailableError(ValueError):
-    """A registered backend cannot run here (missing optional dependency)."""
 
 
 class BackendCapabilityError(ValueError):
@@ -84,19 +55,11 @@ class BackendCapabilities:
     ``obligations``
         Whether the backend keeps per-run :class:`~repro.nfa.run.Obligation`
         records; the run-shedding utility score reads them.
-    ``exact_replay``
-        Whether the backend promises *byte-identical* results to the
-        ``reference`` backend — same match signatures, same
-        :class:`~repro.engine.interface.EngineStats` counters, same virtual
-        clock advances, same trace stream.  The conformance suite holds
-        exact-replay backends to full equality and the others (``tree``) to
-        match-set equivalence only.
     """
 
     policies: tuple[str, ...]
     shedding: bool
     obligations: bool
-    exact_replay: bool
 
     def require(
         self,
@@ -148,14 +111,10 @@ class EvalBackend(abc.ABC):
 
     Concrete backends subclass an engine implementation *first* and this
     interface second (``class TreeBackend(TreeEngine, EvalBackend)``) so the
-    engine's concrete methods win the MRO, then register with
-    :func:`register_backend`, which fills the class-level metadata.
+    engine's concrete methods win the MRO, declare :attr:`capabilities` and
+    :attr:`description`, and get a row in the registry table.
     """
 
-    #: Canonical registry name; set by :func:`register_backend`.
-    name: ClassVar[str] = ""
-    #: Alternate names accepted by :func:`resolve_backend`.
-    aliases: ClassVar[tuple[str, ...]] = ()
     #: Declared capability flags the builder checks.
     capabilities: ClassVar[BackendCapabilities]
     #: One-line description shown by ``list_backends()``.
@@ -176,7 +135,8 @@ class EvalBackend(abc.ABC):
 
         Backends ignore arguments their capabilities exclude (the tree
         backend takes no policy), but the builder has already refused any
-        config that *relies* on an ignored argument via :meth:`require`.
+        config that *relies* on an ignored argument via
+        :meth:`BackendCapabilities.require`.
         """
 
     @abc.abstractmethod
@@ -195,179 +155,3 @@ class EvalBackend(abc.ABC):
     @abc.abstractmethod
     def runs_per_state(self) -> dict[int, int]:
         """Live partial matches per class (for #P_j monitoring)."""
-
-    @classmethod
-    def require(
-        cls,
-        *,
-        policy: str | None = None,
-        shedding: bool = False,
-        obligations: bool = False,
-    ) -> None:
-        """Capability check under this backend's name (builder entry point)."""
-        cls.capabilities.require(
-            cls.name, policy=policy, shedding=shedding, obligations=obligations
-        )
-
-
-@dataclass(frozen=True)
-class BackendListing:
-    """One row of :func:`list_backends` — registry metadata, no classes."""
-
-    name: str
-    available: bool
-    aliases: tuple[str, ...]
-    capabilities: BackendCapabilities | None
-    description: str
-    unavailable_reason: str | None
-
-
-_BACKENDS: dict[str, type[EvalBackend]] = {}
-_ALIASES: dict[str, str] = {}
-_UNAVAILABLE: dict[str, tuple[str, tuple[str, ...]]] = {}  # name -> (reason, aliases)
-
-
-def _claim_names(name: str, aliases: tuple[str, ...]) -> None:
-    for label in (name, *aliases):
-        if label in _BACKENDS or label in _ALIASES or label in _UNAVAILABLE:
-            raise ValueError(f"backend {label!r} is already registered")
-    for alias in aliases:
-        _ALIASES[alias] = name
-
-
-def register_backend(
-    name: str,
-    *,
-    aliases: tuple[str, ...] = (),
-    capabilities: BackendCapabilities,
-    description: str = "",
-):
-    """Class decorator: register an :class:`EvalBackend` implementation.
-
-    Usage mirrors the rule registry of :mod:`repro.analysis`::
-
-        @register_backend("tree", capabilities=BackendCapabilities(...))
-        class TreeBackend(TreeEngine, EvalBackend): ...
-
-    Duplicate names (canonical or alias, against any earlier registration)
-    raise ``ValueError``.
-    """
-
-    def decorate(cls: type[EvalBackend]) -> type[EvalBackend]:
-        if not issubclass(cls, EvalBackend):
-            raise TypeError(f"{cls.__name__} does not implement EvalBackend")
-        _claim_names(name, aliases)
-        cls.name = name
-        cls.aliases = tuple(aliases)
-        cls.capabilities = capabilities
-        cls.description = description
-        _BACKENDS[name] = cls
-        return cls
-
-    return decorate
-
-
-def mark_backend_unavailable(
-    name: str, reason: str, *, aliases: tuple[str, ...] = ()
-) -> None:
-    """Record a backend that exists but cannot load here (and why).
-
-    The name stays *known* — it appears in :func:`list_backends` and CLI
-    choices — but resolving it raises :class:`BackendUnavailableError`
-    carrying ``reason``, and the conformance suite turns the same reason
-    into a pytest skip.
-    """
-    _claim_names(name, aliases)
-    _UNAVAILABLE[name] = (reason, tuple(aliases))
-
-
-def backend_names(include_unavailable: bool = True) -> list[str]:
-    """Canonical backend names, sorted; optionally only the loadable ones."""
-    names = list(_BACKENDS)
-    if include_unavailable:
-        names.extend(_UNAVAILABLE)
-    return sorted(names)
-
-
-def resolve_backend(name: str) -> str:
-    """The canonical name for ``name`` (aliases resolved, availability checked).
-
-    Raises ``ValueError`` (``unknown backend ...``) for names never
-    registered and :class:`BackendUnavailableError` for registered-but-
-    unloadable ones.
-    """
-    canonical = _ALIASES.get(name, name)
-    if canonical in _BACKENDS:
-        return canonical
-    if canonical in _UNAVAILABLE:
-        reason, _ = _UNAVAILABLE[canonical]
-        raise BackendUnavailableError(f"backend {canonical!r} is unavailable: {reason}")
-    catalogue = ", ".join(backend_names())
-    raise ValueError(f"unknown backend {name!r}; registered backends: {catalogue}")
-
-
-def backend_unavailable_reason(name: str) -> str | None:
-    """Why ``name`` cannot load here, or ``None`` when it can.
-
-    Unknown names raise ``ValueError`` like :func:`resolve_backend` — a
-    typo must not read as "available".
-    """
-    canonical = _ALIASES.get(name, name)
-    if canonical in _BACKENDS:
-        return None
-    if canonical in _UNAVAILABLE:
-        return _UNAVAILABLE[canonical][0]
-    catalogue = ", ".join(backend_names())
-    raise ValueError(f"unknown backend {name!r}; registered backends: {catalogue}")
-
-
-def get_backend(name: str) -> type[EvalBackend]:
-    """The backend class for ``name`` (composition-root entry point, A6)."""
-    return _BACKENDS[resolve_backend(name)]
-
-
-def make_backend(
-    name: str,
-    automaton: "Automaton",
-    clock: "VirtualClock",
-    *,
-    cost_model: CostModel | None = None,
-    policy: str = GREEDY,
-    max_partial_matches: int | None = None,
-) -> EvalBackend:
-    """Construct the named backend (composition-root entry point, A6)."""
-    return get_backend(name).build(
-        automaton,
-        clock,
-        cost_model=cost_model,
-        policy=policy,
-        max_partial_matches=max_partial_matches,
-    )
-
-
-def list_backends() -> list[BackendListing]:
-    """Every known backend — loadable or not — as metadata rows, sorted."""
-    rows = [
-        BackendListing(
-            name=cls.name,
-            available=True,
-            aliases=cls.aliases,
-            capabilities=cls.capabilities,
-            description=cls.description,
-            unavailable_reason=None,
-        )
-        for cls in _BACKENDS.values()
-    ]
-    rows.extend(
-        BackendListing(
-            name=name,
-            available=False,
-            aliases=aliases,
-            capabilities=None,
-            description="",
-            unavailable_reason=reason,
-        )
-        for name, (reason, aliases) in _UNAVAILABLE.items()
-    )
-    rows.sort(key=lambda row: row.name)
-    return rows

@@ -2,9 +2,9 @@
 
 Every result in the repository — the committed bench baselines, the golden
 byte-identity regressions, the paper figures — was produced by this engine,
-so it is the semantics oracle the conformance suite holds every
-``exact_replay`` backend against.  The class adds nothing but the uniform
-:meth:`build` factory and the registry metadata; the evaluation path is the
+so it is the semantics the conformance suite holds every other backend
+against.  The class adds nothing but the uniform :meth:`build` factory and
+the registry metadata; the evaluation path is the
 :class:`~repro.engine.engine.Engine` hot path byte-for-byte.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backends.base import BackendCapabilities, EvalBackend, register_backend
+from repro.backends.base import BackendCapabilities, EvalBackend
 from repro.engine.engine import GREEDY, NON_GREEDY, Engine
 from repro.engine.interface import CostModel
 
@@ -23,19 +23,15 @@ if TYPE_CHECKING:
 __all__ = ["ReferenceBackend"]
 
 
-@register_backend(
-    "reference",
-    aliases=("automaton",),
-    capabilities=BackendCapabilities(
+class ReferenceBackend(Engine, EvalBackend):
+    """The :class:`Engine` published through the backend registry."""
+
+    capabilities = BackendCapabilities(
         policies=(GREEDY, NON_GREEDY),
         shedding=True,
         obligations=True,
-        exact_replay=True,
-    ),
-    description="the NFA run engine (the reproduction's reference semantics)",
-)
-class ReferenceBackend(Engine, EvalBackend):
-    """The :class:`Engine` published through the backend registry."""
+    )
+    description = "the NFA run engine (the reproduction's reference semantics)"
 
     @classmethod
     def build(

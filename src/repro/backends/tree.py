@@ -8,17 +8,17 @@ selection only, no shedding surface, no per-run obligation records — and
 the builder refuses unsupported configurations generically through
 :meth:`EvalBackend.require`.
 
-``exact_replay`` is ``False``: the tree engine produces the same *match
-set* as the reference backend on the queries it supports, but its virtual
-cost accounting and stats counters follow its own evaluation order, so the
-conformance suite compares match signatures only.
+The tree engine produces the same *match set* as the reference backend on
+the queries it supports, but its virtual cost accounting and stats counters
+follow its own evaluation order, so the conformance suite compares match
+signatures only.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backends.base import BackendCapabilities, EvalBackend, register_backend
+from repro.backends.base import BackendCapabilities, EvalBackend
 from repro.engine.engine import GREEDY
 from repro.engine.interface import CostModel
 from repro.engine.tree import TreeEngine
@@ -30,18 +30,15 @@ if TYPE_CHECKING:
 __all__ = ["TreeBackend"]
 
 
-@register_backend(
-    "tree",
-    capabilities=BackendCapabilities(
+class TreeBackend(TreeEngine, EvalBackend):
+    """The :class:`TreeEngine` published through the backend registry."""
+
+    capabilities = BackendCapabilities(
         policies=(GREEDY,),
         shedding=False,
         obligations=False,
-        exact_replay=False,
-    ),
-    description="left-deep buffer engine for linear SEQ queries (greedy only)",
-)
-class TreeBackend(TreeEngine, EvalBackend):
-    """The :class:`TreeEngine` published through the backend registry."""
+    )
+    description = "left-deep buffer engine for linear SEQ queries (greedy only)"
 
     @classmethod
     def build(

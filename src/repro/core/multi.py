@@ -26,11 +26,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import EiresConfig
-from repro.core.pipeline import RunResult
 from repro.events.stream import Stream
 from repro.obs.trace import Tracer
 from repro.remote.store import RemoteStore
 from repro.remote.transport import LatencyModel
+from repro.runtime import RunResult
 from repro.runtime.builder import CACHE_ALWAYS, RuntimeBuilder
 from repro.runtime.session import QuerySession, QuerySpec
 

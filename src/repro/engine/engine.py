@@ -152,9 +152,12 @@ class Engine:
             runs = buckets.get(partition)
             if not runs:
                 continue
-            survivors = self._step_partition(
-                runs, transitions, event, strategy, new_runs, matches
-            )
+            survivors = []
+            for run in runs:
+                if self._step_run(run, transitions, event, strategy, new_runs, matches):
+                    survivors.append(run)
+                else:
+                    self._active -= 1
             if survivors:
                 buckets[partition] = survivors
             else:
@@ -270,31 +273,6 @@ class Engine:
         return len(victims)
 
     # -- guard evaluation --------------------------------------------------------
-    def _step_partition(
-        self,
-        runs: list[Run],
-        transitions: list[Transition],
-        event: Event,
-        strategy: StrategyProtocol,
-        new_runs: list[Run],
-        matches: list[MatchRecord],
-    ) -> list[Run]:
-        """Step every run of one partition bucket; returns the survivors.
-
-        The whole-partition granularity is the seam subclasses hook to batch
-        work across runs (the vectorized backend pre-evaluates local guards
-        for all runs of the bucket here) without touching the per-run
-        semantics of :meth:`_step_run`.
-        """
-        survivors: list[Run] = []
-        for run in runs:
-            keep = self._step_run(run, transitions, event, strategy, new_runs, matches)
-            if keep:
-                survivors.append(run)
-            else:
-                self._active -= 1
-        return survivors
-
     def _step_run(
         self,
         run: Run,
@@ -384,24 +362,9 @@ class Engine:
         strategy.observe_guard(transition, local_ok)
         if not local_ok:
             return None
-        return self._resolve_remote(run, transition, event, env, strategy)
 
-    def _resolve_remote(
-        self,
-        run: Run,
-        transition: Transition,
-        event: Event,
-        env: dict,
-        strategy: StrategyProtocol,
-    ) -> tuple[Run, Obligation | None] | None:
-        """Resolve a guard's remote predicates and build the extension.
-
-        The local predicates already passed; from here the strategy decides
-        each remote predicate (fetch, cache hit, or postpone).  Split out of
-        :meth:`_try_transition` so backends that batch the local phase
-        re-enter the identical remote path.
-        """
-        clock = self.clock
+        # The local predicates passed; the strategy decides each remote
+        # predicate (fetch, cache hit, or postpone).
         postponed_predicates = []
         for predicate in transition.remote_predicates:
             outcome = strategy.resolve_predicate(transition, predicate, run, env)

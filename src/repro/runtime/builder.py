@@ -383,7 +383,8 @@ class RuntimeBuilder:
         # max_partial_matches run cap), per-run obligation records for the
         # run-utility score — and only then is the engine constructed.
         backend_cls = get_backend(spec.backend)
-        backend_cls.require(
+        backend_cls.capabilities.require(
+            spec.backend,
             policy=config.policy,
             shedding=(
                 config.shed_policy != SHED_NONE

@@ -285,7 +285,7 @@ def collect_results(
                 if session.shedder is not None
                 else None,
                 series=series_rows,
-                backend=session.spec.backend if session.spec is not None else "reference",
+                backend=session.spec.backend,
             )
         )
     return results
@@ -305,8 +305,7 @@ def dispatch(
     """Replay ``stream`` through every session; one :class:`RunResult` each.
 
     Sessions are driven in the given order for every event (the builder
-    sorts them by descending priority).  With a single session this loop is
-    byte-identical to the historical ``Pipeline.run``; with several, the
+    sorts them by descending priority).  With several sessions, the
     shared clock makes cross-query interference (one query's stall delaying
     another's detection) directly observable, just like in a real shared
     deployment.  ``shared_cache`` supplies cache statistics for sessions

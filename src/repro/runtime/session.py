@@ -21,11 +21,6 @@ from repro.utility.rates import RateEstimator
 
 __all__ = ["QuerySpec", "QuerySession"]
 
-# Legacy spellings kept for callers predating the backend registry; both
-# resolve through repro.backends ("automaton" is an alias of "reference").
-BACKEND_AUTOMATON = "automaton"
-BACKEND_TREE = "tree"
-
 
 class QuerySpec:
     """One query registered with the runtime.
@@ -51,7 +46,7 @@ class QuerySpec:
         query: Query,
         priority: float = 1.0,
         strategy: str | FetchStrategy = "Hybrid",
-        backend: str = BACKEND_AUTOMATON,
+        backend: str = "reference",
         run_budget: int | None = None,
         scope: str | None = None,
     ) -> None:
@@ -87,7 +82,7 @@ class QuerySession:
 
     def __init__(
         self,
-        spec: QuerySpec | None,
+        spec: QuerySpec,
         automaton: Automaton,
         engine,
         strategy: FetchStrategy,
@@ -109,13 +104,11 @@ class QuerySession:
 
     @property
     def name(self) -> str:
-        # Hand-built sessions (the legacy Pipeline shim) carry no spec; the
-        # automaton's name then identifies the session.
-        return self.spec.query.name if self.spec is not None else self.automaton.name
+        return self.spec.query.name
 
     @property
     def priority(self) -> float:
-        return self.spec.priority if self.spec is not None else 1.0
+        return self.spec.priority
 
     def begin_run(self, smoothing_window: int = 1, qs=None) -> None:
         """Reset the per-replay collectors (the dispatch loop calls this)."""

@@ -1,9 +1,6 @@
-# eires-fixture: place=backends/rogue.py
-"""A backend registered under a name no docs table mentions — R2 must
-flag the undocumented registration."""
-from repro.backends import register_backend
+# eires-fixture: place=backends/__init__.py
+"""A backend table row under a name no docs table mentions — R2 must flag
+the undocumented backend."""
+from repro.backends.reference import ReferenceBackend
 
-
-@register_backend("undocumented_backend")
-class RogueBackend:
-    pass
+BACKENDS = {"undocumented_backend": ReferenceBackend}

@@ -1,8 +1,6 @@
-# eires-fixture: place=backends/clean.py
-"""A backend registered under a documented name and alias."""
-from repro.backends import register_backend
+# eires-fixture: place=backends/__init__.py
+"""A backend table whose names and aliases are all documented."""
+from repro.backends.reference import ReferenceBackend
 
-
-@register_backend("reference", aliases=("automaton",))
-class CleanBackend:
-    pass
+BACKENDS = {"reference": ReferenceBackend}
+BACKEND_ALIASES = {"automaton": "reference"}

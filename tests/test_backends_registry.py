@@ -1,8 +1,8 @@
 """Unit tests for the evaluation-backend registry (``repro.backends``).
 
-Covers the registry mechanics (registration, aliases, duplicates, the
-unavailable-backend channel), the declarative capability checks the
-builder relies on, and the public exports.
+Covers the registry table (names, aliases, unknown-name errors), the
+declarative capability checks the builder relies on, the public exports,
+and the import footprint of the package.
 """
 
 from __future__ import annotations
@@ -16,131 +16,76 @@ import pytest
 
 import repro
 from repro.backends import (
-    BackendCapabilities,
+    BACKENDS,
     BackendCapabilityError,
-    BackendUnavailableError,
     EvalBackend,
     ReferenceBackend,
-    backend_names,
-    backend_unavailable_reason,
+    TreeBackend,
     get_backend,
     list_backends,
-    make_backend,
-    register_backend,
     resolve_backend,
 )
+from repro.cli import main
 from repro.core.config import EiresConfig
 from repro.core.framework import EIRES
+from repro.runtime.session import QuerySpec
 from repro.workloads.synthetic import SyntheticConfig, q1_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture
-def scratch_registry(monkeypatch):
-    """A throwaway copy of the registry state for mutation tests."""
-    from repro.backends import base
-
-    monkeypatch.setattr(base, "_BACKENDS", dict(base._BACKENDS))
-    monkeypatch.setattr(base, "_ALIASES", dict(base._ALIASES))
-    monkeypatch.setattr(base, "_UNAVAILABLE", dict(base._UNAVAILABLE))
-    return base
+CATALOGUE = "registered backends: reference, tree"
 
 
 class TestRegistry:
-    def test_unknown_backend_lists_registered_names(self):
+    def test_unknown_backend_lists_registered_names(self, capsys):
         with pytest.raises(ValueError, match="unknown backend 'nope'"):
             resolve_backend("nope")
         with pytest.raises(ValueError, match="reference"):
             get_backend("nope")
+        # A backend this package used to ship is just another unknown name,
+        # through the spec and through the CLI flag alike.
+        query = q1_workload(SyntheticConfig(n_events=10)).query
+        with pytest.raises(ValueError, match=f"unknown backend 'vectorized'; {CATALOGUE}"):
+            QuerySpec(query, backend="vectorized")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--workload", "q1", "--events", "50",
+                  "--strategies", "BL1", "--engine-backend", "vectorized"])
+        assert excinfo.value.code == 2
+        assert CATALOGUE in capsys.readouterr().err
 
     def test_alias_resolves_to_canonical_name(self):
         assert resolve_backend("automaton") == "reference"
         assert get_backend("automaton") is ReferenceBackend
 
     def test_known_backends_are_registered(self):
-        names = backend_names()
-        for name in ("reference", "tree", "vectorized"):
-            assert name in names
-
-    def test_duplicate_registration_refused(self, scratch_registry):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_backend(
-                "reference",
-                capabilities=BackendCapabilities(
-                    policies=("greedy",), shedding=False,
-                    obligations=False, exact_replay=False,
-                ),
-            )
-            class Clone(ReferenceBackend):
-                pass
-
-    def test_duplicate_alias_refused(self, scratch_registry):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_backend(
-                "fresh-name",
-                aliases=("automaton",),
-                capabilities=BackendCapabilities(
-                    policies=("greedy",), shedding=False,
-                    obligations=False, exact_replay=False,
-                ),
-            )
-            class Clone(ReferenceBackend):
-                pass
-
-    def test_non_backend_class_refused(self, scratch_registry):
-        with pytest.raises(TypeError):
-            register_backend(
-                "not-a-backend",
-                capabilities=BackendCapabilities(
-                    policies=("greedy",), shedding=False,
-                    obligations=False, exact_replay=False,
-                ),
-            )(object)
-
-    def test_unavailable_backend_carries_its_reason(self, scratch_registry):
-        scratch_registry.mark_backend_unavailable("ghost", "no such accelerator")
-        assert "ghost" in scratch_registry.backend_names()
-        assert "ghost" not in scratch_registry.backend_names(include_unavailable=False)
-        assert scratch_registry.backend_unavailable_reason("ghost") == "no such accelerator"
-        with pytest.raises(BackendUnavailableError, match="no such accelerator"):
-            scratch_registry.get_backend("ghost")
-
-    def test_unavailable_reason_for_loaded_backend_is_none(self):
-        assert backend_unavailable_reason("reference") is None
-
-    def test_unavailable_reason_for_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend_unavailable_reason("nope")
+        assert BACKENDS == {"reference": ReferenceBackend, "tree": TreeBackend}
 
     def test_list_backends_rows(self):
         rows = {listing.name: listing for listing in list_backends()}
-        assert rows["reference"].available
-        assert "automaton" in rows["reference"].aliases
-        assert rows["reference"].capabilities.exact_replay
+        assert sorted(rows) == ["reference", "tree"]
+        assert rows["reference"].aliases == ("automaton",)
+        assert rows["reference"].capabilities.shedding
+        assert rows["tree"].aliases == ()
         assert not rows["tree"].capabilities.shedding
-        if rows["vectorized"].available:
-            assert rows["vectorized"].unavailable_reason is None
-        else:
-            assert rows["vectorized"].unavailable_reason
+        assert all(row.description for row in rows.values())
 
 
 class TestCapabilities:
     def test_refusal_collects_every_mismatch(self):
         tree = get_backend("tree")
         with pytest.raises(BackendCapabilityError) as excinfo:
-            tree.require(policy="non_greedy", shedding=True, obligations=True)
+            tree.capabilities.require(
+                "tree", policy="non_greedy", shedding=True, obligations=True
+            )
         message = str(excinfo.value)
+        assert "backend 'tree'" in message
         assert "selection policy 'non_greedy'" in message
         assert "load shedding" in message
         assert "run obligations" in message
 
     def test_supported_configuration_passes(self):
-        get_backend("tree").require(policy="greedy")
-        get_backend("reference").require(
-            policy="non_greedy", shedding=True, obligations=True
+        get_backend("tree").capabilities.require("tree", policy="greedy")
+        get_backend("reference").capabilities.require(
+            "reference", policy="non_greedy", shedding=True, obligations=True
         )
 
     def test_builder_refuses_through_the_registry(self):
@@ -154,13 +99,13 @@ class TestCapabilities:
                 backend="tree",
             )
 
-    def test_make_backend_builds_a_working_engine(self):
+    def test_registry_class_builds_a_working_engine(self):
         from repro.nfa.compiler import compile_query
         from repro.sim.clock import VirtualClock
 
         workload = q1_workload(SyntheticConfig(n_events=10))
-        engine = make_backend(
-            "reference", compile_query(workload.query), VirtualClock()
+        engine = get_backend("reference").build(
+            compile_query(workload.query), VirtualClock()
         )
         assert isinstance(engine, EvalBackend)
         assert engine.active_runs == 0
@@ -174,35 +119,28 @@ class TestExports:
         assert "list_backends" in repro.__all__
 
 
-class TestNumpyGating:
-    def test_disable_flag_marks_vectorized_unavailable(self):
+class TestImportFootprint:
+    def test_import_loads_only_stdlib_and_repro(self):
+        """``import repro`` and a reference run load nothing third-party."""
         script = (
-            "from repro.backends import backend_unavailable_reason, backend_names\n"
-            "reason = backend_unavailable_reason('vectorized')\n"
-            "assert reason and 'vector' in reason, reason\n"
-            "assert 'vectorized' not in backend_names(include_unavailable=False)\n"
-            "print('gated')\n"
-        )
-        env = dict(os.environ, REPRO_DISABLE_NUMPY="1",
-                   PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "gated" in proc.stdout
-
-    def test_reference_backend_works_without_numpy(self):
-        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "def foreign():\n"
+            "    return sorted(\n"
+            "        name for name in set(sys.modules) - before\n"
+            "        if name.split('.')[0] not in sys.stdlib_module_names\n"
+            "        and name.split('.')[0] != 'repro'\n"
+            "    )\n"
+            "import repro\n"
+            "assert not foreign(), foreign()\n"
             "from repro.bench.harness import run_strategy\n"
-            "from repro.core.config import EiresConfig\n"
             "from repro.workloads.synthetic import SyntheticConfig, q1_workload\n"
             "wl = q1_workload(SyntheticConfig(n_events=200))\n"
-            "result = run_strategy(wl, 'Hybrid', EiresConfig())\n"
+            "result = run_strategy(wl, 'Hybrid', repro.EiresConfig())\n"
+            "assert not foreign(), foreign()\n"
             "print('ok', result.match_count)\n"
         )
-        env = dict(os.environ, REPRO_DISABLE_NUMPY="1",
-                   PYTHONPATH=str(REPO_ROOT / "src"))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT,
