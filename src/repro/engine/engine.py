@@ -81,6 +81,9 @@ class Engine:
         self._partition_attr = automaton.partition_attr
         self._runs: dict[int, dict[object, list[Run]]] = {}
         self._active = 0
+        # Live runs per state index, kept on every add and drop path so the
+        # per-event #P_j feed (runs_per_state) never rescans the buckets.
+        self._live: dict[int, int] = {}
         # Transitions indexed by (state index, event type) for fast dispatch.
         self._dispatch: dict[tuple[int, str], list[Transition]] = {}
         for transition in automaton.transitions:
@@ -94,11 +97,7 @@ class Engine:
 
     def runs_per_state(self) -> dict[int, int]:
         """Current number of partial matches per class (for #P_j monitoring)."""
-        return {
-            index: total
-            for index, buckets in self._runs.items()
-            if (total := sum(len(runs) for runs in buckets.values()))
-        }
+        return {index: count for index, count in self._live.items() if count}
 
     def iter_runs(self):
         for buckets in self._runs.values():
@@ -144,6 +143,7 @@ class Engine:
             event.attrs.get(self._partition_attr) if self._partition_attr is not None else None
         )
 
+        live = self._live
         for state_index in list(self._runs):
             transitions = self._dispatch.get((state_index, event_type))
             if not transitions:
@@ -158,6 +158,7 @@ class Engine:
                     survivors.append(run)
                 else:
                     self._active -= 1
+                    live[state_index] -= 1
             if survivors:
                 buckets[partition] = survivors
             else:
@@ -182,12 +183,15 @@ class Engine:
         for run in list(self.iter_runs()):
             strategy.on_run_dropped(run, "flushed")
         self._runs.clear()
+        self._live.clear()
         self._active = 0
 
     # -- run lifecycle ---------------------------------------------------------
     def _add_run(self, run: Run, strategy: StrategyProtocol) -> None:
         partition = self._partition_of(run)
-        self._runs.setdefault(run.state.index, {}).setdefault(partition, []).append(run)
+        state_index = run.state.index
+        self._runs.setdefault(state_index, {}).setdefault(partition, []).append(run)
+        self._live[state_index] = self._live.get(state_index, 0) + 1
         self._active += 1
         self.stats.runs_created += 1
         strategy.on_run_created(run)
@@ -200,18 +204,28 @@ class Engine:
         return event.attrs.get(self._partition_attr)
 
     def _expire(self, event: Event, strategy: StrategyProtocol) -> None:
-        """Drop runs whose window can no longer admit the current event."""
+        """Drop runs whose window can no longer admit the current event.
+
+        The window test is ``Window.admits`` inlined, each kind with its own
+        expression (``event.t - first_t <= W`` is not the same float
+        comparison as ``first_t >= event.t - W``).
+        """
         window = self.automaton.window
-        for buckets in self._runs.values():
+        span = window.value
+        by_time = window.kind == window.TIME
+        t, seq = event.t, event.seq
+        live = self._live
+        for state_index, buckets in self._runs.items():
             for partition in list(buckets):
                 runs = buckets[partition]
                 survivors = []
                 for run in runs:
-                    if window.admits(run.first_t, run.first_seq, event.t, event.seq):
+                    if (t - run.first_t <= span) if by_time else (seq - run.first_seq <= span):
                         survivors.append(run)
                     else:
                         self.stats.runs_expired += 1
                         self._active -= 1
+                        live[state_index] -= 1
                         strategy.on_run_dropped(run, "expired")
                 if survivors:
                     buckets[partition] = survivors
@@ -266,8 +280,9 @@ class Engine:
                 del buckets[partition]
                 if not buckets:
                     del self._runs[state_index]
-        for _, _, _, _, run in victims:
+        for _, _, state_index, _, run in victims:
             self._active -= 1
+            self._live[state_index] -= 1
             self.stats.shed_runs += 1
             strategy.on_run_dropped(run, reason)
         return len(victims)

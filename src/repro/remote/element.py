@@ -10,6 +10,10 @@ clients can be fetched per credit card, per user, or per organization), so
 elements may declare a *container*: ``rho(child) = parent`` means the child
 is contained in the parent.  The size of a container is the sum of the sizes
 of its parts; fetching a container makes all of its parts available.
+
+The hierarchy is append-only: :meth:`DataElement.add_child` is the one way
+it changes, so it is also the one place that invalidates the two memoised
+reads the hot paths make (an element's ancestor keys and its total size).
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ class DataElement:
     paper's ``|d| = sum of contained elements``.
     """
 
-    __slots__ = ("key", "value", "own_size", "parent", "children")
+    __slots__ = (
+        "key", "value", "own_size", "parent", "children", "_ancestor_keys", "_total_size"
+    )
 
     def __init__(
         self,
@@ -45,6 +51,8 @@ class DataElement:
         self.own_size = size
         self.parent = None
         self.children: list[DataElement] = []
+        self._ancestor_keys: tuple[DataKey, ...] | None = None
+        self._total_size: int | None = None
         if parent is not None:
             parent.add_child(self)
 
@@ -63,6 +71,11 @@ class DataElement:
             ancestor = ancestor.parent
         child.parent = self
         self.children.append(child)
+        # The child's subtree gained containers; this chain gained parts.
+        for node in child.descendants():
+            node._ancestor_keys = None
+        for node in self.ancestors():
+            node._total_size = None
 
     def ancestors(self) -> Iterator["DataElement"]:
         """Yield this element and every container above it (reflexive rho*)."""
@@ -70,6 +83,13 @@ class DataElement:
         while node is not None:
             yield node
             node = node.parent
+
+    def ancestor_keys(self) -> tuple[DataKey, ...]:
+        """The keys of :meth:`ancestors`, memoised until the hierarchy grows."""
+        keys = self._ancestor_keys
+        if keys is None:
+            keys = self._ancestor_keys = tuple(node.key for node in self.ancestors())
+        return keys
 
     def descendants(self) -> Iterator["DataElement"]:
         """Yield this element and everything contained in it, depth-first."""
@@ -81,7 +101,10 @@ class DataElement:
 
     def total_size(self) -> int:
         """``|d|``: own size plus the sizes of all contained elements."""
-        return sum(node.own_size for node in self.descendants())
+        size = self._total_size
+        if size is None:
+            size = self._total_size = sum(node.own_size for node in self.descendants())
+        return size
 
     def __repr__(self) -> str:
         return f"DataElement(key={self.key!r}, size={self.own_size})"

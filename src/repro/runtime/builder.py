@@ -133,7 +133,13 @@ class SharedPlane:
 
     def shared_utility(self, key: DataKey) -> float:
         """Priority-weighted utility summed over every runtime on the plane."""
-        return sum(runtime.shared_utility(key) for runtime in self.runtimes)
+        # A plain left fold of per-runtime subtotals from int 0: the float
+        # association every committed baseline was produced with (3.12's
+        # compensated ``sum`` may round differently beyond two terms).
+        total = 0
+        for runtime in self.runtimes:
+            total += runtime.shared_utility(key)
+        return total
 
 
 class RuntimeBuilder:
@@ -487,10 +493,10 @@ class Runtime:
     def shared_utility(self, key: DataKey) -> float:
         """Priority-weighted sum of the per-query utilities (Eq. 3 weights)."""
         omega = self.config.omega_cache
-        return sum(
-            session.priority * session.utility.value(key, omega)
-            for session in self.sessions
-        )
+        total = 0
+        for session in self.sessions:
+            total += session.priority * session.utility.value(key, omega)
+        return total
 
     def run(self, stream: Stream, smoothing_window: int = 1) -> dict[str, RunResult]:
         """Replay ``stream`` through every session; results keyed by query name."""

@@ -114,16 +114,16 @@ class FetchStrategy(ObligationResolution, FetchPlane):
         self._deliver_due()
         self._fire_scheduled()
         if index % ctx.utility_tick_interval == 0:
-            self._utility_tick()
+            self._utility_tick(index + 1)
 
     def on_event_end(self, event: Event, matches: list) -> None:
         """Called after the engine processed ``event`` (subclass hook)."""
 
-    def _utility_tick(self) -> None:
+    def _utility_tick(self, position: int) -> None:
         # The engine is attached after construction; runs_per_state is wired
         # by the pipeline through `bind_engine`.
         if self._engine is not None:
-            self.ctx.utility.tick(self.ctx.clock.now, self._engine.runs_per_state())
+            self.ctx.utility.tick(self.ctx.clock.now, self._engine.runs_per_state(), position)
 
     _engine = None
 

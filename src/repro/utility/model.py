@@ -30,12 +30,27 @@ both.
 Requirement counts propagate along the part-of hierarchy: a run requiring a
 child element also credits every container, implementing the ``rho*`` terms
 of Eq. 3 and Eq. 6.
+
+Cost.  Scoring an element (``value``) is one pass over the key's live runs:
+one ``_uu_runs`` lookup, one latency estimate, the noise draw, and a fold of
+per-run residual lifetimes.  Two measured facts keep that fold as it is
+rather than an O(1) aggregate.  First, an integer aggregate over Σ
+``first_seq`` is not bit-identical to the per-run float fold: at a 400-event
+window, ``(1.0 - x/W) * W != W - x`` for 145 of the 401 run ages, and the
+fold feeds eviction tie-breaks, so the committed baselines would move.
+Second, the fold is short: on Q1 greedy a scored key has 11.9 live runs on
+average (618 at most), so the per-call overhead along the scoring chain, not
+the fold, is what costs.  Run registration memoises what does not change
+with the run: each state's site walk (in :func:`required_keys` order) and
+each element's ancestor keys (on the element, see
+:meth:`repro.remote.element.DataElement.ancestor_keys`).
 """
 
 from __future__ import annotations
 
-from repro.nfa.automaton import Automaton
+from repro.nfa.automaton import Automaton, State
 from repro.nfa.run import Run
+from repro.query.predicates import RemoteRef
 from repro.remote.element import DataKey
 from repro.remote.monitor import LatencyMonitor
 from repro.remote.store import RemoteStore
@@ -57,17 +72,25 @@ def required_keys(run: Run, include_future_states: bool = False) -> tuple[DataKe
     descends into deeper states as well, covering sites whose key is bound
     now but whose need materialises several transitions later.
     """
-    keys: list[DataKey] = []
-    pending = list(run.state.transitions)
     env = run.env
+    return tuple(
+        [ref.concrete_key(env) for binding, ref in _site_walk(run.state, include_future_states)
+         if binding in env]
+    )
+
+
+def _site_walk(state: State, include_future_states: bool) -> list[tuple[str, RemoteRef]]:
+    """``(key binding, reference)`` of every site :func:`required_keys` visits,
+    in its visiting order."""
+    refs: list[tuple[str, RemoteRef]] = []
+    pending = list(state.transitions)
     while pending:
         transition = pending.pop()
         for site in transition.sites:
-            if site.ref.key_binding in env:
-                keys.append(site.ref.concrete_key(env))
+            refs.append((site.ref.key_binding, site.ref))
         if include_future_states:
             pending.extend(transition.target.transitions)
-    return tuple(keys)
+    return refs
 
 
 class UtilityModel:
@@ -100,7 +123,14 @@ class UtilityModel:
         self._tran_class: dict[int, float] = {}
         # #P_j(k): EWMA of the per-class live-run counts.
         self._class_counts: dict[int, float] = {}
-        self._events_seen = 0
+        # Per state index: the include_future_states site walk of
+        # required_keys, which depends on the state alone.
+        self._future_sites: dict[int, list[tuple[str, RemoteRef]]] = {}
+        # Ticks drive the decay cadence; the stream position (events up to
+        # and including the current one) is the count-window residual clock,
+        # in the same frame as a run's first_seq.
+        self._ticks = 0
+        self._position = 0
         self._now = 0.0
 
     # -- run lifecycle (driven by the strategy's engine callbacks) ------------
@@ -112,38 +142,64 @@ class UtilityModel:
         # look worthless to the cache in the meantime.  (The strict
         # next-event D(p, k+1) would assign zero utility to every fresh
         # prefetch and make the cost-based policy evict them first.)
-        keys = required_keys(run, include_future_states=True)
-        run.required_keys = keys
         class_index = run.state.index
+        refs = self._future_sites.get(class_index)
+        if refs is None:
+            refs = self._future_sites[class_index] = _site_walk(run.state, True)
+        env = run.env
+        found = []
+        for binding, ref in refs:
+            if binding in env:
+                found.append(ref.concrete_key(env))
+        run.required_keys = keys = tuple(found)
         self._tran_class[class_index] = self._tran_class.get(class_index, 0.0) + 1.0
         if not keys:
             return
         per_class = self._tran_key.setdefault(class_index, {})
         anchor = (run.first_t, run.first_seq)
+        run_id = run.run_id
+        uu_runs = self._uu_runs
+        lookup = self._store.lookup
         for key in keys:
             per_class[key] = per_class.get(key, 0.0) + 1.0
-            for ancestor_key in self._ancestors(key):
-                self._uu_runs.setdefault(ancestor_key, {})[run.run_id] = anchor
+            element = lookup(key)
+            for ancestor_key in (key,) if element.parent is None else element.ancestor_keys():
+                runs = uu_runs.get(ancestor_key)
+                if runs is None:
+                    uu_runs[ancestor_key] = {run_id: anchor}
+                else:
+                    runs[run_id] = anchor
 
     def on_run_dropped(self, run: Run) -> None:
+        run_id = run.run_id
+        uu_runs = self._uu_runs
+        lookup = self._store.lookup
         for key in run.required_keys:
-            for ancestor_key in self._ancestors(key):
-                runs = self._uu_runs.get(ancestor_key)
+            element = lookup(key)
+            for ancestor_key in (key,) if element.parent is None else element.ancestor_keys():
+                runs = uu_runs.get(ancestor_key)
                 if runs is None:
                     continue
-                runs.pop(run.run_id, None)
+                runs.pop(run_id, None)
                 if not runs:
-                    del self._uu_runs[ancestor_key]
+                    del uu_runs[ancestor_key]
 
-    def tick(self, now: float, runs_per_state: dict[int, int]) -> None:
-        """Periodic refresh: advance time, update #P_j, decay counters."""
+    def tick(self, now: float, runs_per_state: dict[int, int], position: int) -> None:
+        """Periodic refresh: advance time, update #P_j, decay counters.
+
+        ``position`` is the number of stream events up to and including the
+        current one; count-window residual lifetimes read it against each
+        run's ``first_seq``, whatever the tick interval.
+        """
         self._now = now
-        self._events_seen += 1
+        self._position = position
+        self._ticks += 1
+        class_counts = self._class_counts
         for state_index in range(self._automaton.n_states):
             current = float(runs_per_state.get(state_index, 0))
-            previous = self._class_counts.get(state_index, current)
-            self._class_counts[state_index] = 0.9 * previous + 0.1 * current
-        if self._events_seen % self._decay_interval == 0:
+            previous = class_counts.get(state_index, current)
+            class_counts[state_index] = 0.9 * previous + 0.1 * current
+        if self._ticks % self._decay_interval == 0:
             for per_class in self._tran_key.values():
                 stale = []
                 for key in per_class:
@@ -172,58 +228,84 @@ class UtilityModel:
         Eq. 4.
         """
         runs = self._uu_runs.get(key)
-        if not runs:
-            return 0.0
+        return self._residual(runs) if runs else 0.0
+
+    def _residual(self, runs: dict[int, tuple[float, int]]) -> float:
+        # Per run: max(0, 1 - elapsed/W) times the window length in events
+        # (count windows carry it directly, time windows are scaled through
+        # the event-denominated horizon), summed in run-registration order.
+        # A non-positive remainder adds exactly nothing, so it is skipped.
         window = self._automaton.window
-        # Window length expressed in events: count windows carry it directly,
-        # time windows are scaled through the (event-denominated) horizon.
-        window_events = window.value if window.kind == "count" else self._horizon
+        span = window.value
         total = 0.0
-        for first_t, first_seq in runs.values():
-            if window.kind == "count":
-                elapsed = (self._events_seen - first_seq) / window.value
-            else:
-                elapsed = (self._now - first_t) / window.value
-            total += max(0.0, 1.0 - elapsed) * window_events
+        if window.kind == window.COUNT:
+            position = self._position
+            for _, first_seq in runs.values():
+                remaining = 1.0 - (position - first_seq) / span
+                if remaining > 0.0:
+                    total += remaining * span
+        else:
+            now = self._now
+            horizon = self._horizon
+            for first_t, _ in runs.values():
+                remaining = 1.0 - (now - first_t) / span
+                if remaining > 0.0:
+                    total += remaining * horizon
         return total
 
     def future_utility(self, key: DataKey) -> float:
         """``FU-hat(d,k,k+horizon)`` per Eq. 6 (latency-weighted, see above)."""
+        return self._future(key, self._uu_runs.get(key), None)
+
+    def _future(
+        self, key: DataKey, runs: dict[int, tuple[float, int]] | None, estimate: float | None
+    ) -> float:
+        # future_utility given the key's live runs and, when already looked
+        # up, its latency estimate.
         if self._noise.active and self._noise.flip(("fu", key), self._now):
             return 0.0
         stochastic = 0.0
+        tran_class = self._tran_class
+        class_counts = self._class_counts
         for class_index, per_class in self._tran_key.items():
             weight = per_class.get(key)
             if not weight:
                 continue
-            class_total = self._tran_class.get(class_index, 0.0)
+            class_total = tran_class.get(class_index, 0.0)
             if class_total <= 0:
                 continue
-            probability = min(weight / class_total, 1.0)
-            stochastic += self._class_counts.get(class_index, 0.0) * probability
-        residual = self._residual_life_events(key)
+            # min(p, 1.0), including its NaN behaviour.
+            probability = weight / class_total
+            if probability > 1.0:
+                probability = 1.0
+            stochastic += class_counts.get(class_index, 0.0) * probability
+        residual = self._residual(runs) if runs else 0.0
         if not stochastic and not residual:
             return 0.0
-        return (self._horizon * stochastic + residual) * self._monitor.estimate(key)
+        if estimate is None:
+            estimate = self._monitor.estimate(key)
+        return (self._horizon * stochastic + residual) * estimate
 
     def value(self, key: DataKey, omega: float) -> float:
-        """Combined utility ``U(d) = omega*UU + (1-omega)*FU`` (Eq. 5)."""
+        """Combined utility ``U(d) = omega*UU + (1-omega)*FU`` (Eq. 5).
+
+        One pass: the same terms as ``urgent_utility`` and
+        ``future_utility``, sharing the run lookup and latency estimate.
+        """
         if not 0.0 <= omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1]: {omega}")
-        return omega * self.urgent_utility(key) + (1.0 - omega) * self.future_utility(key)
+        runs = self._uu_runs.get(key)
+        if runs:
+            estimate = self._monitor.estimate(key)
+            urgent = len(runs) * estimate
+        else:
+            estimate = None
+            urgent = 0.0
+        return omega * urgent + (1.0 - omega) * self._future(key, runs, estimate)
 
     def class_count(self, state_index: int) -> float:
         """``#P_j(k)``: smoothed number of live partial matches of a class."""
         return self._class_counts.get(state_index, 0.0)
-
-    # -- internals ------------------------------------------------------------------
-    def _ancestors(self, key: DataKey):
-        element = self._store.lookup(key)
-        if element.parent is None:
-            yield key
-            return
-        for ancestor in element.ancestors():
-            yield ancestor.key
 
     def __repr__(self) -> str:
         return (

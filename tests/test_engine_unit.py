@@ -166,3 +166,94 @@ class TestEngineAccounting:
                       config=EiresConfig(cache_capacity=50))
         eires.run(random_stream(150, seed=4))
         assert eires.utility._uu_runs == {}
+
+
+def _rescanned_counts(engine):
+    counts = {}
+    for run in engine.iter_runs():
+        counts[run.state.index] = counts.get(run.state.index, 0) + 1
+    return counts
+
+
+def _replay_checking_live_counts(eires, stream):
+    """Replay ``stream``, asserting ``runs_per_state`` against a full rescan
+    of the buckets after every event, before the flush and after it."""
+    engine, strategy = eires.engine, eires.strategy
+    checked = []
+    start_event, flush = strategy.on_event_start, engine.flush
+
+    def on_event_start(event, index):
+        # The state the previous event (and any shedding after it) left.
+        assert engine.runs_per_state() == _rescanned_counts(engine)
+        checked.append(index)
+        start_event(event, index)
+
+    def checked_flush(flush_strategy):
+        assert engine.runs_per_state() == _rescanned_counts(engine)
+        flush(flush_strategy)
+        assert engine.runs_per_state() == {} == _rescanned_counts(engine)
+
+    strategy.on_event_start = on_event_start
+    engine.flush = checked_flush
+    result = eires.run(stream)
+    assert len(checked) == len(stream)
+    return result.engine_stats
+
+
+class TestLiveRunCounts:
+    """``runs_per_state`` is kept on every add/drop path, never rescanned."""
+
+    @pytest.fixture(params=["WITHIN 60 EVENTS", "WITHIN 600us"])
+    def window(self, request):
+        return request.param
+
+    def _eires(self, window, policy="greedy", expiry_interval=None, **config_kwargs):
+        from repro.core.config import EiresConfig
+        from repro.core.framework import EIRES
+        from repro.remote.store import RemoteStore
+        from repro.remote.transport import FixedLatency
+
+        query = parse_query(
+            f"SEQ(A a, B b, C c) WHERE SAME[id] AND b.v IN REMOTE[a.v] {window}", name="abc"
+        )
+        store = RemoteStore()
+        store.register_source("v", lambda key: frozenset({1, 2, 3, 4}))
+        eires = EIRES(query, store, FixedLatency(50.0), strategy="Hybrid",
+                      config=EiresConfig(policy=policy, cache_capacity=20, **config_kwargs))
+        if expiry_interval is not None:
+            eires.engine._expiry_interval = expiry_interval
+        return eires
+
+    def test_greedy_expiry_sweep(self, window):
+        # Sweeping every event before the step: every expiry is the sweep's.
+        stats = _replay_checking_live_counts(
+            self._eires(window, expiry_interval=1), random_stream(400, seed=11)
+        )
+        assert stats["runs_expired"] > 0
+
+    def test_greedy_lazy_expiry_in_step(self, window):
+        # No sweep at all: every expiry happens lazily in the step loop.
+        stats = _replay_checking_live_counts(
+            self._eires(window, expiry_interval=10**9), random_stream(400, seed=12)
+        )
+        assert stats["runs_expired"] > 0
+
+    def test_non_greedy_consumption(self, window):
+        stats = _replay_checking_live_counts(
+            self._eires(window, policy="non_greedy"), random_stream(400, seed=13)
+        )
+        assert stats["runs_consumed"] > 0
+        assert stats["runs_expired"] > 0
+
+    def test_max_partial_matches_cap(self, window):
+        stats = _replay_checking_live_counts(
+            self._eires(window, max_partial_matches=6), random_stream(300, seed=14)
+        )
+        assert stats["shed_runs"] > 0
+
+    def test_runs_shedding(self, window):
+        stats = _replay_checking_live_counts(
+            self._eires(window, shed_policy="runs", run_budget=8),
+            random_stream(400, seed=15),
+        )
+        assert stats["shed_runs"] > 0
